@@ -836,40 +836,57 @@ func BenchmarkDurableIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotWrite measures the per-seal durability cost: encoding
-// and atomically writing (temp file + fsync + rename) the full state of
-// a d=4096 manager with a loaded retention ring and outlier history —
-// the work a durable seal adds over an in-memory one.
+// BenchmarkSnapshotWrite measures the per-seal durability cost:
+// encoding and atomically writing (temp file + fsync + rename) the full
+// state of a manager with a loaded 16-epoch retention ring and outlier
+// history — the work a durable seal adds over an in-memory one. The
+// "write" cases time WriteSnapshot alone; "state+write" also takes the
+// SnapshotState export under the manager lock, as every durable seal
+// does. d=65536 is the partial-cluster benchmark's domain.
 func BenchmarkSnapshotWrite(b *testing.B) {
-	const d = 4096
-	proto, err := ldprecover.NewOUE(d, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mgr, err := ldprecover.NewEpochManager(ldprecover.StreamConfig{
-		Params: proto.Params(), Window: 4, History: 16,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	counts := make([]int64, d)
-	for v := range counts {
-		counts[v] = int64(200 + v%53)
-	}
-	for e := 0; e < 16; e++ {
-		if err := mgr.AddCounts(counts, 1<<20); err != nil {
+	for _, d := range []int{4096, 65536} {
+		proto, err := ldprecover.NewOUE(d, 0.5)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mgr.Seal(); err != nil {
+		mgr, err := ldprecover.NewEpochManager(ldprecover.StreamConfig{
+			Params: proto.Params(), Window: 4, History: 16,
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	st := mgr.SnapshotState()
-	dir := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := persist.WriteSnapshot(dir, uint64(i), st); err != nil {
-			b.Fatal(err)
+		counts := make([]int64, d)
+		for v := range counts {
+			counts[v] = int64(200 + v%53)
 		}
+		for e := 0; e < 16; e++ {
+			if err := mgr.AddCounts(counts, 1<<20); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := mgr.Seal(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("d=%d/write", d), func(b *testing.B) {
+			st := mgr.SnapshotState()
+			dir := b.TempDir()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := persist.WriteSnapshot(dir, uint64(i), st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("d=%d/state+write", d), func(b *testing.B) {
+			dir := b.TempDir()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := persist.WriteSnapshot(dir, uint64(i), mgr.SnapshotState()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

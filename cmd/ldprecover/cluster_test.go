@@ -103,19 +103,12 @@ func sealFrontend(t *testing.T, url string) {
 	resp.Body.Close()
 }
 
-// waitForRootEpochs blocks until the root has sealed n merged epochs.
+// waitForRootEpochs blocks until the root's durable watermark reaches
+// n: the merged epochs are persisted, not merely visible in the
+// manager (see waitForEpochs).
 func waitForRootEpochs(t *testing.T, root *streamServer, n int) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if root.mgr.Stats().Epochs >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("root stalled at %d/%d merged epochs", root.mgr.Stats().Epochs, n)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitForEpochs(t, "root", func() *rootMerge { return root.root }, n)
 }
 
 // TestClusterEquivalenceE2E is the headline cluster guarantee: three

@@ -197,16 +197,21 @@ func TestMembershipEndpointHTTP(t *testing.T) {
 	sealResp.Body.Close()
 }
 
-// waitForEpochs blocks until mgr() reports n sealed epochs.
-func waitForEpochs(t *testing.T, what string, mgr func() *ldprecover.EpochManager, n int) {
+// waitForEpochs blocks until root()'s durable watermark reaches n: the
+// merged epochs are snapshotted and journaled, not merely visible in
+// the manager. The root publishes an epoch's estimate before it
+// persists it, so a kill timed off the visible count can land between
+// the two and correctly promote the standby one epoch short.
+func waitForEpochs(t *testing.T, what string, root func() *rootMerge, n int) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if mgr().Stats().Epochs >= n {
+		if root().watermark() >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s stalled at %d/%d merged epochs", what, mgr().Stats().Epochs, n)
+			t.Fatalf("%s stalled at %d/%d durable merged epochs (%d visible)",
+				what, root().watermark(), n, root().merger.Manager().Stats().Epochs)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -305,7 +310,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 
 	members := []string{"fe-0", "fe-1"}
 	activeURL := func() string { return rootHS.URL }
-	rootEpochs := func() *ldprecover.EpochManager { return rootSrv.mgr }
+	rootOf := func() *rootMerge { return rootSrv.root }
 	engagedRef, engagedCluster := -1, -1
 	for e := 0; e < epochs; e++ {
 		switch e {
@@ -386,7 +391,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 				t.Fatalf("post-promotion re-sends changed the estimate\ngot  %+v\nwant %+v", got, want)
 			}
 			activeURL = func() string { return sbHS.URL }
-			rootEpochs = func() *ldprecover.EpochManager { return sbSrv.manager() }
+			rootOf = func() *rootMerge { return promoted }
 		}
 
 		genuine, err := ldprecover.PerturbAll(proto, r, trueCounts)
@@ -419,7 +424,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 		for _, node := range members {
 			sealFrontend(t, feHS[node].URL)
 		}
-		waitForEpochs(t, "cluster", rootEpochs, e+1)
+		waitForEpochs(t, "cluster", rootOf, e+1)
 
 		// Reference pipeline over the union.
 		if err := ref.AddBatch(union); err != nil {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"ldprecover/internal/stats"
 )
 
 // ZScoreOutliers identifies likely attack targets by statistical anomaly
@@ -49,30 +47,69 @@ func ZScoreOutliersMinSD(history [][]float64, current []float64, k int, minZ, mi
 		return nil, fmt.Errorf("detect: invalid deviation floor %v", minSD)
 	}
 
+	// Per-item moments, accumulated row by row over the history (each
+	// period is one contiguous vector) rather than by gathering each
+	// item's column, one block of items at a time so the accumulators
+	// and the block's rows stay in cache across both passes. Every item
+	// still sees exactly the operation order of stats.Mean (Neumaier
+	// sum, then divide) and stats.SampleVariance (two-pass Kahan sum of
+	// squared deviations, then Bessel), so the scores are bit-identical
+	// to the per-item formulation.
+	const block = 512
+	var sumBuf, compBuf, vsumBuf [block]float64
 	type scored struct {
 		item int
 		z    float64
 	}
 	var out []scored
-	series := make([]float64, len(history))
-	for v := 0; v < d; v++ {
-		for t := range history {
-			series[t] = history[t][v]
+	n := float64(len(history))
+	for lo := 0; lo < d; lo += block {
+		hi := min(lo+block, d)
+		sum, comp, vsum := sumBuf[:hi-lo], compBuf[:hi-lo], vsumBuf[:hi-lo]
+		clear(sum)
+		clear(comp)
+		clear(vsum)
+		for _, fs := range history {
+			for i, x := range fs[lo:hi] {
+				t := sum[i] + x
+				if math.Abs(sum[i]) >= math.Abs(x) {
+					comp[i] += (sum[i] - t) + x
+				} else {
+					comp[i] += (x - t) + sum[i]
+				}
+				sum[i] = t
+			}
 		}
-		mu := stats.Mean(series)
-		sd := math.Sqrt(stats.SampleVariance(series))
-		if sd < minSD {
-			sd = minSD
+		mu := sum
+		for i := range mu {
+			mu[i] = (sum[i] + comp[i]) / n
 		}
-		if sd == 0 {
-			// A perfectly flat history cannot absorb any deviation; any
-			// change is infinitely anomalous. Use a tiny floor instead to
-			// keep scores finite and comparable.
-			sd = 1e-12
+		vcomp := comp
+		clear(vcomp)
+		for _, fs := range history {
+			for i, x := range fs[lo:hi] {
+				dev := x - mu[i]
+				y := dev*dev - vcomp[i]
+				t := vsum[i] + y
+				vcomp[i] = (t - vsum[i]) - y
+				vsum[i] = t
+			}
 		}
-		z := (current[v] - mu) / sd
-		if z >= minZ {
-			out = append(out, scored{v, z})
+		for i, m := range mu {
+			sd := math.Sqrt(vsum[i] / n * n / (n - 1))
+			if sd < minSD {
+				sd = minSD
+			}
+			if sd == 0 {
+				// A perfectly flat history cannot absorb any deviation; any
+				// change is infinitely anomalous. Use a tiny floor instead to
+				// keep scores finite and comparable.
+				sd = 1e-12
+			}
+			z := (current[lo+i] - m) / sd
+			if z >= minZ {
+				out = append(out, scored{lo + i, z})
+			}
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {

@@ -2,8 +2,10 @@ package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -42,38 +44,50 @@ const (
 
 var snapMagic = [4]byte{'L', 'D', 'P', 'S'}
 
-// encodeSnapshot serializes a manager state and its WAL position.
-func encodeSnapshot(walSeq uint64, st stream.ManagerState) []byte {
-	b := make([]byte, 0, snapshotSize(st))
-	b = append(b, snapMagic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, snapVersion)
-	b = binary.LittleEndian.AppendUint64(b, walSeq)
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Seq))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Sealed))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Ring)))
+// snapChunk caps the writer's buffer: a snapshot streams to disk
+// through one reused chunk of at most this size instead of being built
+// whole in memory first (at d=65536 with a 16-epoch ring the file is
+// ~17 MB, and the manager's epochs are shared, not copied, by
+// SnapshotState).
+const snapChunk = 256 << 10
+
+// writeSnapshotTo streams a manager state and its WAL position to w in
+// the v1 format, updating the CRC-32C as each chunk goes out. The
+// buffer is sized to the whole snapshot when that fits in one chunk, so
+// a small snapshot — CRC trailer included — is exactly one Write call.
+func writeSnapshotTo(w io.Writer, walSeq uint64, st stream.ManagerState) error {
+	sw := &snapWriter{w: w, buf: make([]byte, 0, min(snapshotSize(st), snapChunk))}
+	sw.put(snapMagic[:])
+	sw.u16(snapVersion)
+	sw.u64(walSeq)
+	sw.u64(uint64(st.Seq))
+	sw.u64(uint64(st.Sealed))
+	sw.u32(uint32(len(st.Ring)))
 	for _, ep := range st.Ring {
-		b = binary.LittleEndian.AppendUint64(b, uint64(ep.Seq))
-		b = binary.LittleEndian.AppendUint64(b, uint64(ep.Total))
-		b = appendInt64s(b, ep.Counts)
+		sw.u64(uint64(ep.Seq))
+		sw.u64(uint64(ep.Total))
+		sw.int64s(ep.Counts)
 	}
-	b = appendInt64s(b, st.WinCounts)
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.WinTotal))
-	b = binary.LittleEndian.AppendUint32(b, uint32(st.WinEpochs))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.History)))
+	sw.int64s(st.WinCounts)
+	sw.u64(uint64(st.WinTotal))
+	sw.u32(uint32(st.WinEpochs))
+	sw.u32(uint32(len(st.History)))
 	for _, row := range st.History {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(row)))
-		for _, f := range row {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-		}
+		sw.floats(row)
 	}
-	b = appendInts(b, st.Tracker.Last)
-	b = binary.LittleEndian.AppendUint32(b, uint32(st.Tracker.Streak))
-	b = appendInts(b, st.Tracker.Stable)
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	sw.ints(st.Tracker.Last)
+	sw.u32(uint32(st.Tracker.Streak))
+	sw.ints(st.Tracker.Stable)
+	return sw.finish()
 }
 
+// snapshotSize is the encoded length of st, CRC trailer included.
 func snapshotSize(st stream.ManagerState) int {
-	size := 4 + 2 + 8 + 8 + 8 + 4 + 4 + 8 + 4 + 4 + 8 + 4 + 4 + 4 + 4
+	size := 4 + 2 + 8 + 8 + 8 + 4 + // magic, version, walSeq, Seq, Sealed, ring length
+		4 + 8 + 4 + // window counts length, WinTotal, WinEpochs
+		4 + // history length
+		4 + 4 + 4 + // tracker Last length, Streak, Stable length
+		4 // CRC
 	size += (4 + 8 + 8) * len(st.Ring)
 	for _, ep := range st.Ring {
 		size += 8 * len(ep.Counts)
@@ -86,20 +100,112 @@ func snapshotSize(st stream.ManagerState) int {
 	return size
 }
 
-func appendInt64s(b []byte, vs []int64) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-	return b
+// snapWriter is the little-endian chunked encoder behind
+// writeSnapshotTo. Every chunk but the last goes out full, so a field
+// may straddle two chunks. The first write error sticks: later fields
+// are skipped and finish returns it.
+type snapWriter struct {
+	w   io.Writer
+	buf []byte
+	crc uint32
+	err error
 }
 
-func appendInts(b []byte, vs []int) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
+func (sw *snapWriter) flush() {
+	if sw.err == nil {
+		sw.crc = crc32.Update(sw.crc, crcTable, sw.buf)
+		_, sw.err = sw.w.Write(sw.buf)
 	}
-	return b
+	sw.buf = sw.buf[:0]
+}
+
+// put appends b, flushing whenever the chunk fills.
+func (sw *snapWriter) put(b []byte) {
+	for len(b) > 0 && sw.err == nil {
+		if len(sw.buf) == cap(sw.buf) {
+			sw.flush()
+		}
+		n := copy(sw.buf[len(sw.buf):cap(sw.buf)], b)
+		sw.buf = sw.buf[:len(sw.buf)+n]
+		b = b[n:]
+	}
+}
+
+func (sw *snapWriter) u16(v uint16) {
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], v)
+	sw.put(b[:])
+}
+
+func (sw *snapWriter) u32(v uint32) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	sw.put(b[:])
+}
+
+func (sw *snapWriter) u64(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	sw.put(b[:])
+}
+
+// fit returns how many of the n words still to write fit whole in the
+// chunk's free space. At 0 the caller writes the next word through u64,
+// which splits it across the flush.
+func (sw *snapWriter) fit(n int) int {
+	return min(n, (cap(sw.buf)-len(sw.buf))/8)
+}
+
+// int64s and floats write a uint32 length, then the elements as 64-bit
+// words appended in place in runs between flushes.
+func (sw *snapWriter) int64s(vs []int64) {
+	sw.u32(uint32(len(vs)))
+	for len(vs) > 0 && sw.err == nil {
+		n := sw.fit(len(vs))
+		if n == 0 {
+			sw.u64(uint64(vs[0]))
+			vs = vs[1:]
+			continue
+		}
+		for _, v := range vs[:n] {
+			sw.buf = binary.LittleEndian.AppendUint64(sw.buf, uint64(v))
+		}
+		vs = vs[n:]
+	}
+}
+
+// ints writes the tracker's short item lists word by word.
+func (sw *snapWriter) ints(vs []int) {
+	sw.u32(uint32(len(vs)))
+	for _, v := range vs {
+		sw.u64(uint64(int64(v)))
+	}
+}
+
+func (sw *snapWriter) floats(vs []float64) {
+	sw.u32(uint32(len(vs)))
+	for len(vs) > 0 && sw.err == nil {
+		n := sw.fit(len(vs))
+		if n == 0 {
+			sw.u64(math.Float64bits(vs[0]))
+			vs = vs[1:]
+			continue
+		}
+		for _, f := range vs[:n] {
+			sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(f))
+		}
+		vs = vs[n:]
+	}
+}
+
+// finish appends the CRC-32C of everything before it and flushes the
+// last chunk.
+func (sw *snapWriter) finish() error {
+	sw.u32(crc32.Update(sw.crc, crcTable, sw.buf))
+	if sw.err == nil {
+		sw.flush()
+	}
+	return sw.err
 }
 
 // snapReader is a bounds-checked little-endian cursor.
@@ -240,13 +346,23 @@ func decodeSnapshot(data []byte) (walSeq uint64, st stream.ManagerState, err err
 // WriteSnapshot atomically persists a snapshot named after the state's
 // seal count and returns its path.
 func WriteSnapshot(dir string, walSeq uint64, st stream.ManagerState) (string, error) {
+	return writeSnapshotFile(dir, walSeq, st, nil)
+}
+
+// writeSnapshotFile is WriteSnapshot with an optional wrap around the
+// temp file's writer, the seam write-failure tests inject faults at.
+func writeSnapshotFile(dir string, walSeq uint64, st stream.ManagerState, wrap func(io.Writer) io.Writer) (string, error) {
 	path := filepath.Join(dir, fmt.Sprintf("%s%020d%s", snapPrefix, st.Seq, snapSuffix))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return "", err
 	}
-	_, err = f.Write(encodeSnapshot(walSeq, st))
+	var w io.Writer = f
+	if wrap != nil {
+		w = wrap(f)
+	}
+	err = writeSnapshotTo(w, walSeq, st)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -270,8 +386,9 @@ type snapFile struct {
 	path string
 }
 
-// listSnapshots returns the snapshot files in dir, newest first, and
-// removes leftover temp files from interrupted writes.
+// listSnapshots returns the snapshot files in dir, newest first. It
+// only reads: a standby lists the directory its root is writing, so
+// temp files are skipped here and swept by the writer's pruneSnapshots.
 func listSnapshots(dir string) ([]snapFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -281,10 +398,6 @@ func listSnapshots(dir string) ([]snapFile, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, snapPrefix) {
-			continue
-		}
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
 			continue
 		}
 		if !strings.HasSuffix(name, snapSuffix) {
@@ -355,8 +468,20 @@ func validSnapshots(dir string) ([]snapMeta, error) {
 	return metas, nil
 }
 
-// pruneSnapshots deletes all but the newest keep snapshot files.
+// pruneSnapshots deletes all but the newest keep snapshot files, and
+// the temp files interrupted writes left behind. Only the directory's
+// writer calls it, after its own write has renamed, so no temp file it
+// removes is one still being written.
 func pruneSnapshots(dir string, keep int) error {
+	temps, err := filepath.Glob(filepath.Join(dir, snapPrefix+"*"+snapSuffix+".tmp"))
+	if err != nil {
+		return err
+	}
+	for _, tmp := range temps {
+		if err := os.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
 	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return err

@@ -62,7 +62,7 @@ func testManagerState(t testing.TB) stream.ManagerState {
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	st := testManagerState(t)
 	st.Tracker = detect.TrackerState{Last: []int{7}, Streak: 1, Stable: []int{3, 9}}
-	buf := encodeSnapshot(42, st)
+	buf := snapshotBytes(t, 42, st)
 	walSeq, got, err := decodeSnapshot(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		"empty":        func(b []byte) []byte { return nil },
 		"short-header": func(b []byte) []byte { return b[:6] },
 	} {
-		buf := encodeSnapshot(42, st)
+		buf := snapshotBytes(t, 42, st)
 		if _, _, err := decodeSnapshot(mangle(buf)); err == nil {
 			t.Errorf("%s snapshot decoded without error", name)
 		}
@@ -91,7 +91,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 
 	// A well-formed future version (valid CRC) must fail on the version
 	// field, not mis-decode.
-	v2 := encodeSnapshot(42, st)
+	v2 := snapshotBytes(t, 42, st)
 	v2[4] = 2
 	v2 = v2[:len(v2)-4]
 	v2 = binary.LittleEndian.AppendUint32(v2, crc32.Checksum(v2, crcTable))

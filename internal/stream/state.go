@@ -2,11 +2,12 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"ldprecover/internal/detect"
 )
 
-// ManagerState is an exportable deep copy of everything an EpochManager
+// ManagerState is an exportable view of everything an EpochManager
 // accumulates across seals: the sealed-epoch ring, the incrementally
 // maintained sliding window, the recovered-baseline history that drives
 // target identification, the TargetTracker hysteresis, and the sequence
@@ -38,32 +39,29 @@ type ManagerState struct {
 	Tracker detect.TrackerState
 }
 
-// SnapshotState exports a deep copy of the manager's cross-epoch state.
-// It is safe to call concurrently with ingest and seals; the copy is a
-// consistent point-in-time view (taken under the same lock Seal holds).
+// SnapshotState exports the manager's cross-epoch state as a consistent
+// point-in-time view, taken under the same lock Seal holds, so it is
+// safe to call concurrently with ingest and seals. Only the mutable
+// parts are copied: the sliding-window sums and the tracker state. The
+// sealed epochs' Counts and the History rows are shared with the
+// manager, as Epochs shares them — both are immutable once sealed (a
+// seal appends new ones and drops old ones, never writes into them),
+// so a snapshot can be encoded outside the lock at O(d) copy cost
+// instead of O(History·d). The Ring and History outer slices are the
+// caller's; the vectors they hold must not be mutated.
 func (m *EpochManager) SnapshotState() ManagerState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := ManagerState{
+	return ManagerState{
 		Seq:       m.seq,
 		Sealed:    m.sealed,
-		Ring:      make([]Epoch, len(m.ring)),
-		WinCounts: append([]int64(nil), m.winCounts...),
+		Ring:      slices.Clone(m.ring),
+		WinCounts: slices.Clone(m.winCounts),
 		WinTotal:  m.winTotal,
 		WinEpochs: m.winEpochs,
+		History:   slices.Clone(m.history),
 		Tracker:   m.tracker.State(),
 	}
-	for i, ep := range m.ring {
-		st.Ring[i] = Epoch{Seq: ep.Seq, Total: ep.Total,
-			Counts: append([]int64(nil), ep.Counts...)}
-	}
-	if m.history != nil {
-		st.History = make([][]float64, len(m.history))
-		for i, h := range m.history {
-			st.History[i] = append([]float64(nil), h...)
-		}
-	}
-	return st
 }
 
 // RestoreState replaces the manager's cross-epoch state with a deep copy
